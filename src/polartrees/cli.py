@@ -13,6 +13,7 @@ bug), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -44,15 +45,14 @@ from .polarization import (
     polarize_ideal,
 )
 from .simplicial import (
+    MAX_FOREST_FACETS,
     alexander_dual_ideal,
-    covering_number,
     facet_complex,
     free_vertices,
     independence_number,
     is_connected,
     is_forest,
     is_leaf,
-    is_unmixed,
     joints,
     minimal_vertex_covers,
 )
@@ -90,6 +90,7 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polartrees",
@@ -106,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=None,
                        help="seed for sampled checks")
-        p.add_argument("--max-facets", type=int, default=20,
+        p.add_argument("--max-facets", type=int, default=MAX_FOREST_FACETS,
                        help="cap for the exhaustive forest sweep")
         p.add_argument("--max-degree", type=int, default=64,
                        help="reject inputs with larger exponents")
@@ -230,15 +231,22 @@ def _cmd_dual(args):
     return {"ideal": render_ideal(ideal)}, results, None, None
 
 
+def _alpha_and_unmixed(covers) -> tuple[int, bool]:
+    """Covering number and unmixedness, read off the minimal covers."""
+    sizes = {len(c) for c in covers}
+    return min(sizes), len(sizes) == 1
+
+
 def _cmd_complex_info(args):
     ideal = _parse_input(args)
     complex_ = facet_complex(ideal)
+    alpha, unmixed = _alpha_and_unmixed(minimal_vertex_covers(complex_))
     results = {
         "vertices": list(complex_.vertices),
         "facets": list(complex_.facet_strings()),
-        "alpha": covering_number(complex_),
+        "alpha": alpha,
         "beta": independence_number(complex_),
-        "unmixed": is_unmixed(complex_),
+        "unmixed": unmixed,
         "connected": is_connected(complex_),
     }
     return {"ideal": render_ideal(ideal)}, results, None, None
@@ -288,13 +296,14 @@ def _cmd_covers(args):
     ideal = _parse_input(args)
     complex_ = facet_complex(ideal)
     covers = minimal_vertex_covers(complex_)
+    alpha, unmixed = _alpha_and_unmixed(covers)
     position = {v: i for i, v in enumerate(complex_.vertices)}
     results = {
         "covers": [
             "{" + ",".join(sorted(c, key=position.get)) + "}" for c in covers
         ],
-        "alpha": covering_number(complex_),
-        "unmixed": is_unmixed(complex_),
+        "alpha": alpha,
+        "unmixed": unmixed,
     }
     return {"ideal": render_ideal(ideal)}, results, None, None
 
@@ -316,7 +325,7 @@ def _cmd_filtration(args):
 
 def _cmd_check_konig(args):
     ideal = _parse_input(args)
-    report = check_konig(ideal)
+    report = check_konig(ideal, max_facets=args.max_facets)
     results = {
         "height": report.height,
         "beta": report.coprime_bound,
@@ -368,7 +377,7 @@ def _cmd_check_localization(args):
     entries = []
     all_ok = True
     for at in _localization_primes(args, ideal):
-        report = check_localization(ideal, at)
+        report = check_localization(ideal, at, max_facets=args.max_facets)
         all_ok = all_ok and report.passed
         entries.append(
             {
@@ -392,13 +401,13 @@ def _cmd_check_localization(args):
 
 def _cmd_cm_verdict(args):
     ideal = _parse_input(args)
-    verdict = cm_verdict(ideal)
+    verdict = cm_verdict(ideal, max_facets=args.max_facets)
     return {"ideal": render_ideal(ideal)}, {"verdict": verdict.value}, None, None
 
 
 def _cmd_scm_verdict(args):
     ideal = _parse_input(args)
-    report = scm_verdict(ideal)
+    report = scm_verdict(ideal, max_facets=args.max_facets)
     results = {
         "verdict": report.verdict.value,
         "polarization_is_forest": report.polarization_is_forest,
@@ -410,7 +419,7 @@ def _cmd_scm_verdict(args):
 
 def _cmd_check_appendix(args):
     ideal = _parse_input(args)
-    report = check_filtration_strata(ideal)
+    report = check_filtration_strata(ideal, max_facets=args.max_facets)
     steps = []
     for step in report.steps:
         steps.append(

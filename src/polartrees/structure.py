@@ -35,6 +35,7 @@ from .monomials import (
 )
 from .polarization import PolarRing, polarize_ideal, polarize_prime
 from .simplicial import (
+    MAX_FOREST_FACETS,
     ForestCheck,
     facet_complex,
     is_connected,
@@ -151,7 +152,9 @@ class FiltrationReport:
         return all(step.passed for step in self.steps)
 
 
-def check_filtration_strata(ideal: MonomialIdeal) -> FiltrationReport:
+def check_filtration_strata(
+    ideal: MonomialIdeal, max_facets: int = MAX_FOREST_FACETS
+) -> FiltrationReport:
     filtration = scm_filtration(ideal)
     strata = filtration.strata
     chain = filtration.chain
@@ -188,7 +191,7 @@ def check_filtration_strata(ideal: MonomialIdeal) -> FiltrationReport:
     polar_complex = facet_complex(polarize_ideal(ideal))
     return FiltrationReport(
         ideal=ideal,
-        polarization_is_forest=bool(is_forest(polar_complex)),
+        polarization_is_forest=bool(is_forest(polar_complex, max_facets)),
         filtration=filtration,
         steps=tuple(steps),
     )
@@ -209,10 +212,12 @@ class KonigReport:
         return self.verdict != "fail"
 
 
-def check_konig(ideal: MonomialIdeal) -> KonigReport:
+def check_konig(
+    ideal: MonomialIdeal, max_facets: int = MAX_FOREST_FACETS
+) -> KonigReport:
     h = height(ideal)
     b = coprime_independence_number(ideal)
-    tree = is_tree(facet_complex(polarize_ideal(ideal)))
+    tree = is_tree(facet_complex(polarize_ideal(ideal)), max_facets)
     if not tree:
         verdict = "inapplicable"
     elif h == b:
@@ -315,20 +320,22 @@ class LocalizationReport:
         return self.forest.is_forest
 
 
-def check_localization(ideal: MonomialIdeal, at: Prime) -> LocalizationReport:
+def check_localization(
+    ideal: MonomialIdeal, at: Prime, max_facets: int = MAX_FOREST_FACETS
+) -> LocalizationReport:
     if not at.contains_ideal(ideal):
         raise ValueError(f"{at} does not contain {ideal}")
     polar = polarize_ideal(ideal)
     ring = polar.ring
     assert isinstance(ring, PolarRing)
-    tree = is_tree(facet_complex(polar))
+    tree = is_tree(facet_complex(polar), max_facets)
 
     localized = localize(ideal, at)
     assert isinstance(localized, MonomialIdeal)
     # Re-home into the full base ring so both polarizations below share one
     # slot namespace and the generator lists are comparable verbatim.
     localized_polar = polarize_ideal(change_ring_ideal(localized, ideal.ring))
-    forest = is_forest(facet_complex(localized_polar))
+    forest = is_forest(facet_complex(localized_polar), max_facets)
 
     polar_localized = localize(polar, polarize_prime(at, ring))
     assert isinstance(polar_localized, MonomialIdeal)
@@ -349,12 +356,14 @@ class CMVerdict(Enum):
     INAPPLICABLE = "inapplicable"
 
 
-def cm_verdict(ideal: MonomialIdeal) -> CMVerdict:
+def cm_verdict(
+    ideal: MonomialIdeal, max_facets: int = MAX_FOREST_FACETS
+) -> CMVerdict:
     """For tree-polarizing ideals, Cohen-Macaulay is the same as unmixed.
 
     Outside the tree hypothesis nothing is decided here.
     """
-    if not is_tree(facet_complex(polarize_ideal(ideal))):
+    if not is_tree(facet_complex(polarize_ideal(ideal)), max_facets):
         return CMVerdict.INAPPLICABLE
     if is_unmixed_ideal(ideal):
         return CMVerdict.COHEN_MACAULAY
@@ -374,7 +383,9 @@ class ScmReport:
     note: str | None
 
 
-def scm_verdict(ideal: MonomialIdeal) -> ScmReport:
+def scm_verdict(
+    ideal: MonomialIdeal, max_facets: int = MAX_FOREST_FACETS
+) -> ScmReport:
     """Forest-polarizing ideals are sequentially Cohen-Macaulay.
 
     A disconnected forest reduces componentwise to trees; that extension is
@@ -382,7 +393,7 @@ def scm_verdict(ideal: MonomialIdeal) -> ScmReport:
     so the verdict falls back to unknown.
     """
     complex_ = facet_complex(polarize_ideal(ideal))
-    forest = bool(is_forest(complex_))
+    forest = bool(is_forest(complex_, max_facets))
     connected = is_connected(complex_)
     if forest:
         note = None if connected else "forest extension"

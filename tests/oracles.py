@@ -154,3 +154,27 @@ def covering_primes(ideal: MonomialIdeal) -> list[Prime]:
             if all(chosen & s for s in supports):
                 out.append(Prime(ideal.ring, combo))
     return out
+
+
+def _leaf_of(facet: frozenset, family: tuple[frozenset, ...]) -> bool:
+    """Leaf test straight from the definition, on vertex sets."""
+    others = [g for g in family if g != facet]
+    if not others:
+        return True
+    shared = facet & frozenset().union(*others)
+    return any(shared <= g for g in others)
+
+
+def brute_forest_witness(complex_: SimplicialComplex) -> tuple[frozenset, ...] | None:
+    """First leafless subcollection of facets, smallest first, or None.
+
+    Scans every subcollection of two or more facets in ``combinations``
+    order, so a complex is a forest exactly when this returns None, and
+    otherwise the answer is the witness a smallest-first sweep finds first.
+    """
+    facets = complex_.facets
+    for size in range(2, len(facets) + 1):
+        for family in itertools.combinations(facets, size):
+            if not any(_leaf_of(f, family) for f in family):
+                return family
+    return None

@@ -1,6 +1,8 @@
 import json
 
-from polartrees.cli import main
+from polartrees.cli import _build_parser, main
+
+PATH_22 = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 23))
 
 
 def run(capsys, *argv):
@@ -198,6 +200,15 @@ class TestStructureCommands:
         assert code == 0
         assert report["results"]["verdict"] == "unknown"
 
+    def test_scm_verdict_honours_max_facets(self, capsys):
+        code, report = run_json(capsys, "scm-verdict", PATH_22, "--max-facets", "25")
+        assert code == 0
+        assert report["results"]["verdict"] == "sequentially-cohen-macaulay"
+
+    def test_scm_verdict_over_the_default_cap_names_it(self, capsys):
+        assert main(["scm-verdict", PATH_22]) == 2
+        assert "22 facets exceed the cap of 20" in capsys.readouterr().err
+
     def test_check_appendix(self, capsys):
         code, report = run_json(capsys, "check-appendix", "x1^2, x1*x2")
         assert code == 0
@@ -232,6 +243,21 @@ class TestInterface:
         for cover in machine["results"]["covers"]:
             assert cover in human
         assert str(machine["results"]["alpha"]) in human
+
+    def test_cached_parser_keeps_no_arguments_between_calls(self, capsys):
+        assert _build_parser() is _build_parser()
+        code, report = run_json(capsys, "localize", "x1^2, x1*x2", "--prime", "x1")
+        assert code == 0 and report["inputs"]["prime"] == "(x1)"
+        code, report = run_json(capsys, "decompose", "x1^2, x1*x2")
+        assert code == 0 and report["inputs"] == {"ideal": "x1^2, x1*x2"}
+        args = _build_parser().parse_args(["decompose", "x1"])
+        assert not hasattr(args, "prime")
+        assert (args.seed, args.max_facets, args.format) == (None, 20, "human")
+        # a leaked --prime would shrink this sweep to a single prime
+        code, report = run_json(
+            capsys, "check-localization", "x1^3, x1^2*x2*x3, x3^2, x2^3*x3"
+        )
+        assert code == 0 and len(report["results"]["checks"]) >= 2
 
     def test_max_degree_budget(self, capsys):
         assert main(["height", "x^9", "--max-degree", "4"]) == 2

@@ -253,3 +253,30 @@ class TestSquarefreeComponent:
     def test_top_degree(self):
         ideal = parse_ideal("x*y")
         assert squarefree_component(ideal, 2) == ideal
+
+
+class TestForestCap:
+    CHECKS = (
+        lambda ideal, cap: check_filtration_strata(ideal, max_facets=cap),
+        lambda ideal, cap: check_konig(ideal, max_facets=cap),
+        lambda ideal, cap: check_localization(
+            ideal, prime(ideal.ring, ideal.ring.names), max_facets=cap
+        ),
+        lambda ideal, cap: cm_verdict(ideal, max_facets=cap),
+        lambda ideal, cap: scm_verdict(ideal, max_facets=cap),
+    )
+
+    @pytest.mark.parametrize(
+        "check", CHECKS, ids=("appendix", "konig", "localization", "cm", "scm")
+    )
+    def test_every_forest_check_honours_the_cap(self, check):
+        # the worked tree polarizes to four facets
+        with pytest.raises(ValueError, match="4 facets exceed the cap of 3"):
+            check(WORKED_TREE, 3)
+        check(WORKED_TREE, 4)
+
+    def test_raised_cap_admits_a_long_path(self):
+        path = parse_ideal(", ".join(f"x{i}*x{i + 1}" for i in range(1, 23)))
+        with pytest.raises(ValueError, match="22 facets exceed the cap of 20"):
+            scm_verdict(path)
+        assert scm_verdict(path, max_facets=22).verdict is ScmVerdict.SEQUENTIALLY_CM
