@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="seed for sampled checks")
         p.add_argument("--max-facets", type=int, default=MAX_FOREST_FACETS,
-                       help="cap for the exhaustive forest sweep")
+                       help="facet cap for the forest check")
         p.add_argument("--max-degree", type=int, default=64,
                        help="reject inputs with larger exponents")
         if name in ("localize", "check-localization"):

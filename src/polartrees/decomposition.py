@@ -1,10 +1,12 @@
 """Irreducible decomposition, minimal and associated primes, height.
 
-The decomposition uses generator splitting: pick a generator that factors
-into two coprime nonconstant parts u, v, and recurse on I+(u) and I+(v);
-an ideal whose generators are all pure variable powers is irreducible.
-Duplicate branches are merged and the final list is pruned to an irredundant
-set, so the result is the unique irredundant irreducible decomposition.
+The decomposition refines components one generator at a time on exponent
+vectors: a component that misses the next generator splits into one
+component per variable of that generator, and refinements containing
+another component are dropped.  This is the minimal vertex cover
+construction on the facets of the polarization, read back through
+x[i,j] -> x_i^j, and it yields the unique irredundant irreducible
+decomposition.
 
 Associated primes come in two independent flavours: radicals of the
 irreducible components, and colon witnesses (primes of the form (I : u) for
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .monomials import (
     Monomial,
@@ -23,8 +24,6 @@ from .monomials import (
     Prime,
     Ring,
     RingMismatchError,
-    intersect_all,
-    minimalize,
     sort_primes,
 )
 
@@ -74,70 +73,42 @@ class IrreducibleComponent:
         return "(" + ", ".join(parts) + ")"
 
 
-def _component_contains(outer: IrreducibleComponent, inner: IrreducibleComponent) -> bool:
+def _contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     # inner ⊆ outer: every pure power of inner must lie in outer.
-    for i, e in enumerate(inner.exps):
-        if e and not (outer.exps[i] and outer.exps[i] <= e):
-            return False
-    return True
+    return all(0 < o <= e for o, e in zip(outer, inner) if e)
 
 
-def _as_component(ideal: MonomialIdeal) -> IrreducibleComponent:
-    exps = [0] * len(ideal.ring)
-    for g in ideal.gens:
-        (idx,) = (i for i, e in enumerate(g.exps) if e)
-        exps[idx] = g.exps[idx]
-    return IrreducibleComponent(ideal.ring, tuple(exps))
-
-
-@lru_cache(maxsize=None)
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """The unique irredundant irreducible decomposition, canonically sorted."""
-    seen: set[MonomialIdeal] = set()
-    components: set[IrreducibleComponent] = set()
-    stack = [ideal]
-    while stack:
-        j = stack.pop()
-        if j in seen:
-            continue
-        seen.add(j)
-        mixed = next((g for g in j.gens if len(g.support) >= 2), None)
-        if mixed is None:
-            components.add(_as_component(j))
-            continue
-        first = j.ring.index(mixed.support[0])
-        u_exps = [0] * len(j.ring)
-        u_exps[first] = mixed.exps[first]
-        u = Monomial(j.ring, tuple(u_exps))
-        v = Monomial(j.ring, tuple(e - u for e, u in zip(mixed.exps, u_exps)))
-        for extra in (u, v):
-            bigger = minimalize(j.gens + (extra,), j.ring)
-            assert isinstance(bigger, MonomialIdeal)
-            stack.append(bigger)
-    ordered = sorted(components, key=lambda c: c.exps)
-    return _prune_irredundant(ordered, ideal)
+    """The unique irredundant irreducible decomposition, sorted by exponents.
 
-
-def _prune_irredundant(
-    components: list[IrreducibleComponent], ideal: MonomialIdeal
-) -> tuple[IrreducibleComponent, ...]:
-    # Inclusion pre-prune: a component containing another is always redundant.
-    kept = [
-        c
-        for c in components
-        if not any(o is not c and _component_contains(c, o) for o in components)
-    ]
-    if all(max(c.exps) <= 1 for c in kept):
-        # All components prime: inclusion-minimal is already irredundant.
-        return tuple(kept)
-    i = 0
-    while i < len(kept):
-        rest = kept[:i] + kept[i + 1 :]
-        if rest and intersect_all(c.as_ideal() for c in rest) == ideal:
-            kept.pop(i)
-        else:
-            i += 1
-    return tuple(kept)
+    Sequential refinement on exponent vectors (Berge's transversal
+    construction, read downstairs as in Miller-Sturmfels ch. 5): the first
+    generator's pure powers decompose it, and each further generator g keeps
+    every component holding g and refines every other component C into the
+    components C + (x_i^{g_i}) for i in the support of g.  A refined
+    component that contains another is dropped; a kept one never needs it,
+    because each refinement strictly contains its parent and the components
+    before the step were pairwise incomparable.  Irreducible monomial ideals
+    are meet-prime, so the final antichain is irredundant.
+    """
+    first, *rest = (g.exps for g in ideal.gens)
+    n = len(first)
+    comps = [(0,) * i + (e,) + (0,) * (n - i - 1) for i, e in enumerate(first) if e]
+    for g in rest:
+        support = [(i, e) for i, e in enumerate(g) if e]
+        kept: list[tuple[int, ...]] = []
+        grown: set[tuple[int, ...]] = set()
+        for c in comps:
+            if any(0 < c[i] <= e for i, e in support):
+                kept.append(c)
+            else:
+                grown.update(c[:i] + (e,) + c[i + 1 :] for i, e in support)
+        comps = kept + [
+            c
+            for c in grown
+            if not any(d != c and _contains(c, d) for d in itertools.chain(kept, grown))
+        ]
+    return tuple(IrreducibleComponent(ideal.ring, c) for c in sorted(comps))
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple[Prime, ...]:

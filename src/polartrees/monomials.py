@@ -292,14 +292,19 @@ def minimalize(
             raise RingMismatchError(f"generator {g} is not in {ambient}")
         if g.is_constant:
             raise ValueError("constant generator; the unit ideal is unsupported")
-    pool = sorted(set(pool), key=lambda m: (m.degree, m.exps))
-    kept: list[Monomial] = []
-    for m in pool:
-        if not any(divides(k, m) for k in kept):
-            kept.append(m)
+    kept = _minimal_exps(g.exps for g in pool)
     if not kept:
         return ZERO_IDEAL
-    return MonomialIdeal(ambient, tuple(kept))
+    return MonomialIdeal(ambient, tuple(Monomial(ambient, e) for e in kept))
+
+
+def _minimal_exps(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The exponent vectors that no other one divides, by ascending degree."""
+    kept: list[tuple[int, ...]] = []
+    for v in sorted(set(vectors), key=lambda e: (sum(e), e)):
+        if not any(all(a <= b for a, b in zip(k, v)) for k in kept):
+            kept.append(v)
+    return kept
 
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -312,21 +317,23 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection, generated by the pairwise lcms of the generators."""
-    _check_same_ring(a, b)
-    result = minimalize((lcm(g, h) for g in a.gens for h in b.gens), a.ring)
-    assert isinstance(result, MonomialIdeal)
-    return result
+    return intersect_all((a, b))
 
 
 def intersect_all(ideals: Iterable[MonomialIdeal]) -> MonomialIdeal:
+    """Intersection of the ideals, folded on exponent vectors."""
     it = iter(ideals)
     try:
-        acc = next(it)
+        first = next(it)
     except StopIteration:
         raise ValueError("empty intersection is the unit ideal; not representable")
+    acc = [g.exps for g in first.gens]
     for j in it:
-        acc = intersect(acc, j)
-    return acc
+        _check_same_ring(first, j)
+        acc = _minimal_exps(
+            tuple(map(max, g, h.exps)) for g in acc for h in j.gens
+        )
+    return MonomialIdeal(first.ring, tuple(Monomial(first.ring, e) for e in acc))
 
 
 @dataclass(frozen=True)

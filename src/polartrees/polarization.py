@@ -272,22 +272,28 @@ def polar_decomposition(ideal: MonomialIdeal) -> tuple[Prime, ...]:
     """Irredundant prime decomposition of the polarization of any ideal.
 
     Collects the slot-choice primes of every irreducible component inside
-    the spanning polar ring, then drops duplicates and inclusion-redundant
-    primes.  For a square-free target an inclusion-minimal subset whose
-    intersection is the ideal is automatically irredundant, so no
-    intersection recomputation is needed here; tests verify irredundancy by
+    the spanning polar ring and drops the inclusion-redundant ones.  A slot
+    choice of component C strictly contains a slot choice of component D
+    exactly when supp D is a proper subset of supp C and each slot it picks
+    on supp D is at most D's exponent there, so each candidate is tested
+    against the components rather than against the other candidates.  For
+    a square-free target an inclusion-minimal subset whose intersection is
+    the ideal is automatically irredundant; tests verify irredundancy by
     dropping primes.
     """
     ring = PolarRing.spanning(ideal)
-    candidates = set()
-    for component in irreducible_decomposition(ideal):
-        candidates.update(polar_decomposition_of_component(component, ring))
-    var_sets = {p: set(p.variables) for p in candidates}
-    kept = [
-        p
-        for p in candidates
-        if not any(q is not p and var_sets[q] < var_sets[p] for q in candidates)
-    ]
+    components = [c.exps for c in irreducible_decomposition(ideal)]
+    supports = [frozenset(i for i, e in enumerate(c) if e) for c in components]
+    kept = set()  # components on one support can share a slot choice
+    for c, support in zip(components, supports):
+        axes = sorted(support)
+        lower = [
+            [(i, d[i]) for i in s] for d, s in zip(components, supports) if s < support
+        ]
+        for combo in itertools.product(*(range(1, c[i] + 1) for i in axes)):
+            slot = dict(zip(axes, combo))
+            if not any(all(slot[i] <= e for i, e in d) for d in lower):
+                kept.add(Prime(ring, tuple(map(ring.slot_variable, axes, combo))))
     return sort_primes(kept)
 
 

@@ -440,7 +440,8 @@ def is_forest(
     q = complex_.facet_count()
     if q > max_facets:
         raise ValueError(
-            f"forest check is exhaustive; {q} facets exceed the cap of {max_facets}"
+            f"forest witness search is exponential; "
+            f"{q} facets exceed the cap of {max_facets}"
         )
     masks, _ = _facet_masks(complex_)
     core = _leafless_core(masks)

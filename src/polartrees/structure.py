@@ -215,9 +215,9 @@ class KonigReport:
 def check_konig(
     ideal: MonomialIdeal, max_facets: int = MAX_FOREST_FACETS
 ) -> KonigReport:
+    tree = is_tree(facet_complex(polarize_ideal(ideal)), max_facets)
     h = height(ideal)
     b = coprime_independence_number(ideal)
-    tree = is_tree(facet_complex(polarize_ideal(ideal)), max_facets)
     if not tree:
         verdict = "inapplicable"
     elif h == b:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: membership sweeps
 over bounded exponent boxes, itertools subset scans for covers and
-non-faces, and a pair-by-pair substitution that undoes a polarization
-without counting slots.
+non-faces, generator splitting for irreducible decompositions, a pairwise
+inclusion prune for polar primes, and a pair-by-pair substitution that
+undoes a polarization without counting slots.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from polartrees import (
+    IrreducibleComponent,
     Monomial,
     MonomialIdeal,
     PolarRing,
@@ -18,7 +20,9 @@ from polartrees import (
     Ring,
     SimplicialComplex,
     minimalize,
+    polar_decomposition_of_component,
     polarization_sequence,
+    sort_primes,
 )
 
 
@@ -143,6 +147,27 @@ def power_ideal(ring: Ring, variables: tuple[str, ...], power: int) -> MonomialI
     return result
 
 
+def exponent_ideal(vectors) -> MonomialIdeal:
+    """The ideal on x1..xn generated by nonzero exponent vectors."""
+    n = len(vectors[0])
+    ring = Ring(tuple(f"x{i}" for i in range(1, n + 1)))
+    result = minimalize([Monomial(ring, tuple(v)) for v in vectors], ring)
+    assert isinstance(result, MonomialIdeal)
+    return result
+
+
+def seeded_ideal(rng, max_variables: int = 6) -> MonomialIdeal:
+    """At most ``max_variables`` variables, 9 generators and exponent 5."""
+    n = rng.randint(1, max_variables)
+    vectors = []
+    for _ in range(rng.randint(1, 9)):
+        exps = [0] * n
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            exps[i] = rng.randint(1, 5)
+        vectors.append(exps)
+    return exponent_ideal(vectors)
+
+
 def covering_primes(ideal: MonomialIdeal) -> list[Prime]:
     """Every variable-subset prime containing the ideal, by subset scan."""
     names = ideal.ring.names
@@ -178,3 +203,65 @@ def brute_forest_witness(complex_: SimplicialComplex) -> tuple[frozenset, ...] |
             if not any(_leaf_of(f, family) for f in family):
                 return family
     return None
+
+
+def splitting_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
+    """Irredundant irreducible decomposition by generator splitting.
+
+    A generator that factors into coprime nonconstant parts u, v splits the
+    ideal into I+(u) and I+(v); an ideal of pure powers is irreducible.
+    Components containing another are dropped, which leaves the irredundant
+    decomposition because irreducible monomial ideals are meet-prime.
+    """
+    seen: set[MonomialIdeal] = set()
+    found: set[tuple[int, ...]] = set()
+    stack = [ideal]
+    while stack:
+        j = stack.pop()
+        if j in seen:
+            continue
+        seen.add(j)
+        mixed = next((g for g in j.gens if len(g.support) >= 2), None)
+        if mixed is None:
+            exps = [0] * len(j.ring)
+            for g in j.gens:
+                (i,) = (k for k, e in enumerate(g.exps) if e)
+                exps[i] = g.exps[i]
+            found.add(tuple(exps))
+            continue
+        first = j.ring.index(mixed.support[0])
+        u = [0] * len(j.ring)
+        u[first] = mixed.exps[first]
+        v = [e - a for e, a in zip(mixed.exps, u)]
+        for extra in (u, v):
+            bigger = minimalize(j.gens + (Monomial(j.ring, tuple(extra)),), j.ring)
+            assert isinstance(bigger, MonomialIdeal)
+            stack.append(bigger)
+
+    def inside(outer, inner):
+        return all(o and o <= e for o, e in zip(outer, inner) if e)
+
+    kept = [
+        c for c in found if not any(d != c and inside(c, d) for d in found)
+    ]
+    return tuple(IrreducibleComponent(ideal.ring, c) for c in sorted(kept))
+
+
+def pairwise_polar_decomposition(ideal: MonomialIdeal) -> tuple[Prime, ...]:
+    """Polar primes by comparing every slot-choice candidate with every other.
+
+    The candidates are the slot choices of every component of the splitting
+    decomposition in the spanning polar ring; one is dropped when another
+    has a strictly smaller variable set.
+    """
+    ring = PolarRing.spanning(ideal)
+    candidates = set()
+    for component in splitting_decomposition(ideal):
+        candidates.update(polar_decomposition_of_component(component, ring))
+    var_sets = {p: set(p.variables) for p in candidates}
+    kept = [
+        p
+        for p in candidates
+        if not any(var_sets[q] < var_sets[p] for q in candidates)
+    ]
+    return sort_primes(kept)

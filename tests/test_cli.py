@@ -209,6 +209,11 @@ class TestStructureCommands:
         assert main(["scm-verdict", PATH_22]) == 2
         assert "22 facets exceed the cap of 20" in capsys.readouterr().err
 
+    def test_check_konig_over_the_cap_exits_before_decomposing(self, capsys):
+        path_21 = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 22))
+        assert main(["check-konig", path_21]) == 2
+        assert "21 facets exceed the cap of 20" in capsys.readouterr().err
+
     def test_check_appendix(self, capsys):
         code, report = run_json(capsys, "check-appendix", "x1^2, x1*x2")
         assert code == 0

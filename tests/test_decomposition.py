@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from polartrees import (
     associated_primes,
     colon,
@@ -15,7 +18,12 @@ from polartrees import (
 )
 from polartrees.sampling import random_ideal, random_ring
 
-from oracles import equal_by_membership
+from oracles import (
+    equal_by_membership,
+    exponent_ideal,
+    seeded_ideal,
+    splitting_decomposition,
+)
 
 
 def strs(items):
@@ -61,6 +69,55 @@ class TestIrreducibleDecomposition:
                 rest = [c for i, c in enumerate(comps) if i != skip]
                 if rest:
                     assert intersect_all(c.as_ideal() for c in rest) != ideal
+
+
+def assert_irredundant(ideal, comps):
+    assert intersect_all(c.as_ideal() for c in comps) == ideal
+    for skip in range(len(comps)):
+        rest = [c for i, c in enumerate(comps) if i != skip]
+        if rest:
+            assert intersect_all(c.as_ideal() for c in rest) != ideal
+
+
+class TestAgainstSplitting:
+    """Sequential refinement against the generator-splitting oracle."""
+
+    def test_fixed_cases(self):
+        for text in ("x1^2, x1*x2, x2^3", "x1^2, x1*x2"):
+            ideal = parse_ideal(text)
+            assert irreducible_decomposition(ideal) == splitting_decomposition(ideal)
+
+    def test_seeded_cross_check(self):
+        rng = random.Random(2005)
+        sizes = set()
+        for k in range(3000):
+            ideal = seeded_ideal(rng)
+            comps = irreducible_decomposition(ideal)
+            assert comps == splitting_decomposition(ideal), ideal
+            rebuilt = intersect_all(c.as_ideal() for c in comps)
+            assert rebuilt == ideal
+            # the box sweep costs up to 6^6 points, so every twentieth ideal
+            if k % 20 == 0:
+                assert equal_by_membership(rebuilt, ideal)
+            sizes.add(len(comps))
+        # embedded and many-component decompositions must both occur
+        assert max(sizes) >= 20
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any),
+                min_size=1,
+                max_size=7,
+            )
+        )
+    )
+    def test_property_matches_oracle_and_is_irredundant(self, vectors):
+        ideal = exponent_ideal(vectors)
+        comps = irreducible_decomposition(ideal)
+        assert comps == splitting_decomposition(ideal)
+        assert_irredundant(ideal, comps)
 
 
 class TestPrimes:

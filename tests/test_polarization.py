@@ -32,7 +32,13 @@ from polartrees import (
 )
 from polartrees.sampling import random_ideal, random_monomial, random_ring
 
-from oracles import power_ideal, primes_cut_out_ideal, sequence_substitution
+from oracles import (
+    pairwise_polar_decomposition,
+    power_ideal,
+    primes_cut_out_ideal,
+    seeded_ideal,
+    sequence_substitution,
+)
 
 
 def strs(items):
@@ -238,6 +244,16 @@ class TestGeneralPolarDecomposition:
                 rest = [p for i, p in enumerate(primes) if i != skip]
                 if rest:
                     assert not primes_cut_out_ideal(rest, polar)
+
+
+    def test_matches_pairwise_prune(self):
+        fixed = ("x1^2, x1*x2, x2^3", "x1^2, x1*x2", "x1^3*x2, x2^3*x3, x3^3*x4, x4^3")
+        ideals = [parse_ideal(text) for text in fixed]
+        rng = random.Random(502)
+        ideals += [seeded_ideal(rng, max_variables=4) for _ in range(400)]
+        for ideal in ideals:
+            expected = pairwise_polar_decomposition(ideal)
+            assert polar_decomposition(ideal) == expected, ideal
 
 
 class TestPrimeTransfer:
