@@ -28,7 +28,6 @@ from .decomposition import (
 )
 from .monomials import (
     UNIT_IDEAL,
-    ZERO_IDEAL,
     MonomialIdeal,
     Prime,
     change_ring_ideal,
@@ -67,27 +66,12 @@ from .structure import (
 )
 from .textio import ParseError, parse_ideal, parse_prime, render_ideal
 
-COMMANDS = (
-    "polarize",
-    "depolarize",
-    "decompose",
-    "ass",
-    "height",
-    "beta",
-    "localize",
-    "dual",
-    "complex-info",
-    "is-tree",
-    "leaves",
-    "covers",
-    "filtration",
-    "check-konig",
-    "check-joint-removal",
-    "check-localization",
-    "cm-verdict",
-    "scm-verdict",
-    "check-appendix",
-)
+_FLAGS = {
+    "--seed": dict(type=int, default=None, help="seed for sampled checks"),
+    "--max-facets": dict(type=int, default=MAX_FOREST_FACETS,
+                         help="facet cap for the forest check"),
+    "--prime": dict(help="variables of the prime, e.g. 'x1,x3'"),
+}
 
 
 @functools.cache
@@ -97,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monomial ideals via polarization and simplicial forests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} operation")
         p.add_argument("ideal", help="generators, e.g. 'x1^2, x1*x2, x2^3' ('-' = stdin)")
         p.add_argument("--vars", help="explicit variable list, e.g. 'x,y,z'")
@@ -105,14 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--format", choices=("human", "machine"), default="human",
             help="output style (machine = one JSON document)",
         )
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for sampled checks")
-        p.add_argument("--max-facets", type=int, default=MAX_FOREST_FACETS,
-                       help="facet cap for the forest check")
         p.add_argument("--max-degree", type=int, default=64,
                        help="reject inputs with larger exponents")
-        if name in ("localize", "check-localization"):
-            p.add_argument("--prime", help="variables of the prime, e.g. 'x1,x3'")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -198,7 +178,7 @@ def _cmd_beta(args):
 
 
 def _require_prime(args, ideal) -> Prime:
-    if not getattr(args, "prime", None):
+    if not args.prime:
         raise ParseError("this command needs --prime", 0)
     return parse_prime(args.prime, ideal.ring)
 
@@ -221,13 +201,7 @@ def _cmd_localize(args):
 
 def _cmd_dual(args):
     ideal = _parse_input(args)
-    dual = alexander_dual_ideal(ideal)
-    if dual is ZERO_IDEAL:
-        results = {"zero_ideal": True}
-    elif dual is UNIT_IDEAL:
-        results = {"unit_ideal": True}
-    else:
-        results = {"generators": _gens(dual)}
+    results = {"generators": _gens(alexander_dual_ideal(ideal))}
     return {"ideal": render_ideal(ideal)}, results, None, None
 
 
@@ -264,11 +238,7 @@ def _cmd_is_tree(args):
     }
     witness = None
     if forest.witness is not None:
-        position = {v: i for i, v in enumerate(complex_.vertices)}
-        witness = [
-            "{" + ",".join(sorted(f, key=position.get)) + "}"
-            for f in forest.witness
-        ]
+        witness = [complex_.facet_string(f) for f in forest.witness]
     return {"ideal": render_ideal(ideal)}, results, None, witness
 
 
@@ -282,10 +252,7 @@ def _cmd_leaves(args):
             {
                 "facet": name,
                 "is_leaf": leaf,
-                "joints": [
-                    "{" + ",".join(sorted(g, key=complex_.vertices.index)) + "}"
-                    for g in joints(complex_, facet)
-                ],
+                "joints": [complex_.facet_string(g) for g in joints(complex_, facet)],
                 "free_vertices": sorted(free_vertices(complex_, facet)),
             }
         )
@@ -297,11 +264,8 @@ def _cmd_covers(args):
     complex_ = facet_complex(ideal)
     covers = minimal_vertex_covers(complex_)
     alpha, unmixed = _alpha_and_unmixed(covers)
-    position = {v: i for i, v in enumerate(complex_.vertices)}
     results = {
-        "covers": [
-            "{" + ",".join(sorted(c, key=position.get)) + "}" for c in covers
-        ],
+        "covers": [complex_.facet_string(c) for c in covers],
         "alpha": alpha,
         "unmixed": unmixed,
     }
@@ -353,7 +317,7 @@ def _cmd_check_joint_removal(args):
 
 
 def _localization_primes(args, ideal) -> list[Prime]:
-    if getattr(args, "prime", None):
+    if args.prime:
         return [parse_prime(args.prime, ideal.ring)]
     primes = list(minimal_primes(ideal))
     full = Prime(ideal.ring, ideal.ring.names)
@@ -448,26 +412,29 @@ def _cmd_check_appendix(args):
     return {"ideal": render_ideal(ideal)}, results, verdict, None
 
 
-_HANDLERS = {
-    "polarize": _cmd_polarize,
-    "depolarize": _cmd_depolarize,
-    "decompose": _cmd_decompose,
-    "ass": _cmd_ass,
-    "height": _cmd_height,
-    "beta": _cmd_beta,
-    "localize": _cmd_localize,
-    "dual": _cmd_dual,
-    "complex-info": _cmd_complex_info,
-    "is-tree": _cmd_is_tree,
-    "leaves": _cmd_leaves,
-    "covers": _cmd_covers,
-    "filtration": _cmd_filtration,
-    "check-konig": _cmd_check_konig,
-    "check-joint-removal": _cmd_check_joint_removal,
-    "check-localization": _cmd_check_localization,
-    "cm-verdict": _cmd_cm_verdict,
-    "scm-verdict": _cmd_scm_verdict,
-    "check-appendix": _cmd_check_appendix,
+# Commands in --help order, each with its handler and the optional flags it
+# honours; any other flag is a usage error.
+_COMMANDS = {
+    "polarize": (_cmd_polarize, ()),
+    "depolarize": (_cmd_depolarize, ()),
+    "decompose": (_cmd_decompose, ()),
+    "ass": (_cmd_ass, ()),
+    "height": (_cmd_height, ()),
+    "beta": (_cmd_beta, ()),
+    "localize": (_cmd_localize, ("--prime",)),
+    "dual": (_cmd_dual, ()),
+    "complex-info": (_cmd_complex_info, ()),
+    "is-tree": (_cmd_is_tree, ("--max-facets",)),
+    "leaves": (_cmd_leaves, ()),
+    "covers": (_cmd_covers, ()),
+    "filtration": (_cmd_filtration, ()),
+    "check-konig": (_cmd_check_konig, ("--max-facets",)),
+    "check-joint-removal": (_cmd_check_joint_removal, ()),
+    "check-localization": (
+        _cmd_check_localization, ("--max-facets", "--seed", "--prime")),
+    "cm-verdict": (_cmd_cm_verdict, ("--max-facets",)),
+    "scm-verdict": (_cmd_scm_verdict, ("--max-facets",)),
+    "check-appendix": (_cmd_check_appendix, ("--max-facets",)),
 }
 
 
@@ -504,7 +471,8 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     try:
-        inputs, results, verdict, witness = _HANDLERS[args.command](args)
+        handler, _ = _COMMANDS[args.command]
+        inputs, results, verdict, witness = handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

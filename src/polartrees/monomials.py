@@ -428,23 +428,28 @@ def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal | UnitIdeal:
 
 
 def coprime_independence_number(ideal: MonomialIdeal) -> int:
-    """Largest number of pairwise coprime minimal generators, by exhaustion."""
-    sups = [frozenset(g.support) for g in ideal.gens]
-    n = len(sups)
-    best = 1
+    """Largest number of pairwise coprime minimal generators."""
+    return _max_disjoint(
+        [sum(1 << i for i, e in enumerate(g.exps) if e) for g in ideal.gens]
+    )
 
-    def grow(start: int, used: frozenset, count: int) -> None:
+
+def _max_disjoint(masks: list[int]) -> int:
+    """Largest number of pairwise disjoint bitmasks, by depth-first search."""
+    best = 0
+
+    def grow(start: int, used: int, count: int) -> None:
         nonlocal best
         if count > best:
             best = count
-        for k in range(start, n):
-            if count + (n - k) <= best:
+        for k in range(start, len(masks)):
+            if count + (len(masks) - k) <= best:
                 break
-            if sups[k] & used:
+            if masks[k] & used:
                 continue
-            grow(k + 1, used | sups[k], count + 1)
+            grow(k + 1, used | masks[k], count + 1)
 
-    grow(0, frozenset(), 0)
+    grow(0, 0, 0)
     return best
 
 

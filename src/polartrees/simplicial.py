@@ -2,11 +2,14 @@
 
 A complex is held by its vertex list and its facets (inclusion-maximal
 faces); every square-free monomial ideal is the facet ideal of exactly one
-complex and vice versa.  Vertex covers, non-faces and the Alexander dual
-run by honest exhaustion over small instances, so the answers double as
-oracles for the algebraic side.  Forest detection removes good leaves in
-polynomial time and searches for a leafless witness only inside the core
-that is left when the complex is not a forest.
+complex and vice versa.  Minimal vertex covers, minimal non-faces and the
+Alexander dual are one problem, minimal transversals of a family of vertex
+sets, solved by one routine on bitmasks that only ever holds minimal sets:
+the covers are the transversals of the facets, the non-faces those of the
+facet complements, and the dual ideal is generated by the covers.  Forest
+detection removes good leaves in polynomial time and searches for a
+leafless witness only inside the core that is left when the complex is not
+a forest.
 
 Two degenerate complexes are told apart: the void complex (no facets at all,
 ``is_void``) and the complex whose only facet is the empty set.  Removing
@@ -27,10 +30,10 @@ from .monomials import (
     Ring,
     UnitIdeal,
     ZeroIdeal,
+    _max_disjoint,
 )
 
 MAX_FOREST_FACETS = 20
-MAX_NONFACE_VERTICES = 22
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,13 @@ class SimplicialComplex:
             self.__dict__["_mask_cache"] = masks
         return masks
 
-    def _sorted_facet(self, facet: frozenset[str]) -> tuple[str, ...]:
+    def facet_string(self, facet: Iterable[str]) -> str:
+        """A set of vertices as ``{a,b,...}``, in vertex-list order."""
         position = {v: i for i, v in enumerate(self.vertices)}
-        return tuple(sorted(facet, key=position.get))
+        return "{" + ",".join(sorted(facet, key=position.get)) + "}"
 
     def facet_strings(self) -> tuple[str, ...]:
-        return tuple("{" + ",".join(self._sorted_facet(f)) + "}" for f in self.facets)
+        return tuple(self.facet_string(f) for f in self.facets)
 
     def __str__(self) -> str:
         if self.is_void:
@@ -131,26 +135,38 @@ def facet_ideal(complex_: SimplicialComplex) -> MonomialIdeal | UnitIdeal | Zero
     return MonomialIdeal(ring, gens)
 
 
-def _facet_masks(complex_: SimplicialComplex) -> tuple[list[int], int]:
-    masks = complex_._masks()
-    return masks, len(complex_.vertices)
+def _minimal_transversals(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal bitmasks meeting every one of ``masks``.
+
+    Berge's sequential construction: from the empty set, each mask keeps
+    the sets that meet it and grows each set c that misses it into c | bit
+    for every bit of the mask.  A grown set is dropped when it contains a
+    kept one.  Grown sets never contain each other: c1 | b1 >= c2 | b2
+    forces b2 = b1, as c1 misses the mask, and then c2 = c1.  No masks
+    leave the empty set; an empty mask leaves nothing.
+    """
+    found = [0]
+    for m in masks:
+        kept = [c for c in found if c & m]
+        grown = []
+        for c in found:
+            if c & m:
+                continue
+            rest = m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                g = c | bit
+                if not any(k & g == k for k in kept):
+                    grown.append(g)
+        found = kept + grown
+    return found
 
 
 def _minimal_nonface_masks(complex_: SimplicialComplex) -> list[int]:
-    masks, n = _facet_masks(complex_)
-    if n > MAX_NONFACE_VERTICES:
-        raise ValueError(f"non-face enumeration capped at {MAX_NONFACE_VERTICES} vertices")
-    found: list[int] = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(prev & mask == prev for prev in found):
-                continue
-            if not any(mask & ~fm == 0 for fm in masks):
-                found.append(mask)
-    return found
+    """A set is a non-face when it meets the complement of every facet."""
+    full = (1 << len(complex_.vertices)) - 1
+    return _minimal_transversals(full & ~m for m in complex_._masks())
 
 
 def _mask_to_set(complex_: SimplicialComplex, mask: int) -> frozenset[str]:
@@ -212,17 +228,25 @@ def alexander_dual_complex(complex_: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(vertices, facets)
 
 
-def alexander_dual_ideal(
-    ideal: MonomialIdeal,
-) -> MonomialIdeal | ZeroIdeal | UnitIdeal:
-    """Non-face ideal of the dual of the non-face complex."""
+def alexander_dual_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
+    """Generated by the products of the minimal vertex covers of the
+    generator supports (Miller and Sturmfels, ch. 1 and 5).
+
+    Generators are nonconstant, so every cover is nonempty and the dual is
+    again a proper nonzero ideal.
+    """
     if not ideal.is_squarefree:
         raise ValueError("Alexander duality needs a square-free ideal")
-    return nonface_ideal(alexander_dual_complex(nonface_complex(ideal)))
+    ring = Ring(ideal.ring.names)
+    gens = tuple(
+        Monomial(ring, tuple(1 if v in cover else 0 for v in ring.names))
+        for cover in minimal_vertex_covers(facet_complex(ideal))
+    )
+    return MonomialIdeal(ring, gens)
 
 
 def minimal_vertex_covers(complex_: SimplicialComplex) -> tuple[frozenset[str], ...]:
-    """All inclusion-minimal vertex sets meeting every facet, exhaustively.
+    """All inclusion-minimal vertex sets meeting every facet.
 
     Sorted by size and then by vertex indices, so the output is stable.
     """
@@ -230,27 +254,8 @@ def minimal_vertex_covers(complex_: SimplicialComplex) -> tuple[frozenset[str], 
         raise ValueError("the void complex has no covering problem")
     if frozenset() in complex_.facets:
         raise ValueError("an empty facet cannot be covered")
-    masks, n = _facet_masks(complex_)
-    found: set[int] = set()
-
-    def extend(cover: int, start_facet: int) -> None:
-        for k in range(start_facet, len(masks)):
-            if masks[k] & cover == 0:
-                remaining = masks[k]
-                i = 0
-                while remaining:
-                    if remaining & 1:
-                        extend(cover | (1 << i), k + 1)
-                    remaining >>= 1
-                    i += 1
-                return
-        found.add(cover)
-
-    extend(0, 0)
-    minimal = [
-        c for c in found if not any(other != c and other & c == other for other in found)
-    ]
-    covers = [_mask_to_set(complex_, c) for c in minimal]
+    transversals = _minimal_transversals(complex_._masks())
+    covers = [_mask_to_set(complex_, c) for c in transversals]
     position = {v: i for i, v in enumerate(complex_.vertices)}
     covers.sort(key=lambda s: (len(s), tuple(sorted(position[v] for v in s))))
     return tuple(covers)
@@ -268,25 +273,10 @@ def is_unmixed(complex_: SimplicialComplex) -> bool:
 
 
 def independence_number(complex_: SimplicialComplex) -> int:
-    """Largest number of pairwise disjoint facets, by exhaustion."""
+    """Largest number of pairwise disjoint facets."""
     if complex_.is_void:
         raise ValueError("the void complex has no facets")
-    masks, _ = _facet_masks(complex_)
-    best = 0
-
-    def grow(start: int, used: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        for k in range(start, len(masks)):
-            if count + (len(masks) - k) <= best:
-                break
-            if masks[k] & used:
-                continue
-            grow(k + 1, used | masks[k], count + 1)
-
-    grow(0, 0, 0)
-    return best
+    return _max_disjoint(complex_._masks())
 
 
 def _require_facet(complex_: SimplicialComplex, facet: Iterable[str]) -> frozenset[str]:
@@ -350,7 +340,7 @@ def free_vertices(
 
 def is_connected(complex_: SimplicialComplex) -> bool:
     """Connectivity of the facet-intersection graph; vacuous for <= 1 facet."""
-    masks, _ = _facet_masks(complex_)
+    masks = complex_._masks()
     if len(masks) <= 1:
         return True
     seen = {0}
@@ -443,7 +433,7 @@ def is_forest(
             f"forest witness search is exponential; "
             f"{q} facets exceed the cap of {max_facets}"
         )
-    masks, _ = _facet_masks(complex_)
+    masks = complex_._masks()
     core = _leafless_core(masks)
     for size in range(2, len(core) + 1):
         for members in itertools.combinations(core, size):

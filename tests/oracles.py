@@ -168,6 +168,32 @@ def seeded_ideal(rng, max_variables: int = 6) -> MonomialIdeal:
     return exponent_ideal(vectors)
 
 
+def seeded_complexes(
+    rng, count: int, max_vertices: int = 10
+) -> list[SimplicialComplex]:
+    """At least ``count`` non-void complexes on at most ``max_vertices``
+    vertices and 8 drawn facets.
+
+    The list opens with the lone empty facet and the full simplex on every
+    vertex count; the random rest draws each facet vertex by vertex, so
+    isolated vertices, nested facets and repeated facets all occur.
+    """
+    out = []
+    for n in range(1, max_vertices + 1):
+        vertices = tuple(f"v{i}" for i in range(n))
+        out.append(SimplicialComplex(vertices, (frozenset(),)))
+        out.append(SimplicialComplex(vertices, (frozenset(vertices),)))
+    while len(out) < count:
+        vertices = tuple(f"v{i}" for i in range(rng.randint(1, max_vertices)))
+        density = rng.uniform(0.2, 0.7)
+        facets = [
+            frozenset(v for v in vertices if rng.random() < density)
+            for _ in range(rng.randint(1, 8))
+        ]
+        out.append(SimplicialComplex(vertices, tuple(facets)))
+    return out
+
+
 def covering_primes(ideal: MonomialIdeal) -> list[Prime]:
     """Every variable-subset prime containing the ideal, by subset scan."""
     names = ideal.ring.names

@@ -92,6 +92,17 @@ class TestLocalizeAndDual:
         assert code == 0
         assert report["results"]["generators"] == ["x", "y"]
 
+    def test_dual_generators_are_the_covers_on_the_23_vertex_path(self, capsys):
+        code, covers = run_json(capsys, "covers", PATH_22)
+        assert code == 0
+        code, dual = run_json(capsys, "dual", PATH_22)
+        assert code == 0
+        products = {
+            c.strip("{}").replace(",", "*") for c in covers["results"]["covers"]
+        }
+        assert len(products) == 616
+        assert set(dual["results"]["generators"]) == products
+
 
 class TestComplexCommands:
     def test_complex_info(self, capsys):
@@ -256,13 +267,20 @@ class TestInterface:
         code, report = run_json(capsys, "decompose", "x1^2, x1*x2")
         assert code == 0 and report["inputs"] == {"ideal": "x1^2, x1*x2"}
         args = _build_parser().parse_args(["decompose", "x1"])
-        assert not hasattr(args, "prime")
-        assert (args.seed, args.max_facets, args.format) == (None, 20, "human")
+        assert not {"prime", "seed", "max_facets"} & vars(args).keys()
+        assert args.format == "human"
+        args = _build_parser().parse_args(["check-localization", "x1"])
+        assert (args.prime, args.seed, args.max_facets) == (None, None, 20)
         # a leaked --prime would shrink this sweep to a single prime
         code, report = run_json(
             capsys, "check-localization", "x1^3, x1^2*x2*x3, x3^2, x2^3*x3"
         )
         assert code == 0 and len(report["results"]["checks"]) >= 2
+
+    def test_flags_a_command_ignores_are_usage_errors(self, capsys):
+        assert main(["height", "x1", "--seed", "3"]) == 2
+        assert main(["decompose", "x1", "--max-facets", "5"]) == 2
+        assert main(["dual", "x1*x2", "--prime", "x1"]) == 2
 
     def test_max_degree_budget(self, capsys):
         assert main(["height", "x^9", "--max-degree", "4"]) == 2

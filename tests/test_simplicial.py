@@ -33,7 +33,7 @@ from polartrees.sampling import (
     random_squarefree_ideal,
 )
 
-from oracles import brute_minimal_covers, brute_minimal_nonfaces
+from oracles import brute_minimal_covers, brute_minimal_nonfaces, seeded_complexes
 
 EXAMPLE = parse_ideal("xyz, yu, uvw")
 
@@ -98,10 +98,7 @@ class TestNonfaces:
         assert str(nonface_ideal(complex_)) == "(x*y)"
 
     def test_matches_brute_force(self):
-        rng = random.Random(41)
-        for _ in range(25):
-            ideal = random_squarefree_ideal(rng, random_ring(rng), max_generators=4)
-            complex_ = facet_complex(ideal)
+        for complex_ in seeded_complexes(random.Random(41), 2000):
             result = nonface_ideal(complex_)
             expected = brute_minimal_nonfaces(complex_)
             got = (
@@ -148,8 +145,9 @@ class TestAlexanderDual:
         for _ in range(25):
             ideal = random_squarefree_ideal(rng, random_ring(rng), max_generators=4)
             dual = alexander_dual_ideal(ideal)
-            if dual in (ZERO_IDEAL, UNIT_IDEAL):
-                continue
+            assert dual == nonface_ideal(
+                alexander_dual_complex(nonface_complex(ideal))
+            )
             assert alexander_dual_ideal(dual) == ideal
 
 
@@ -183,11 +181,16 @@ class TestCovers:
         }
 
     def test_matches_brute_force(self):
-        rng = random.Random(44)
-        for _ in range(25):
-            ideal = random_squarefree_ideal(rng, random_ring(rng), max_generators=4)
-            complex_ = facet_complex(ideal)
-            assert set(minimal_vertex_covers(complex_)) == brute_minimal_covers(complex_)
+        for complex_ in seeded_complexes(random.Random(44), 2000):
+            if frozenset() in complex_.facets:
+                with pytest.raises(ValueError):
+                    minimal_vertex_covers(complex_)
+                continue
+            covers = minimal_vertex_covers(complex_)
+            assert set(covers) == brute_minimal_covers(complex_)
+            position = {v: i for i, v in enumerate(complex_.vertices)}
+            keys = [(len(c), sorted(position[v] for v in c)) for c in covers]
+            assert keys == sorted(keys)
 
     def test_covers_generate_minimal_primes(self):
         rng = random.Random(45)
