@@ -340,8 +340,8 @@ def _cmd_check_localization(args):
     ideal = _parse_input(args)
     entries = []
     all_ok = True
-    for at in _localization_primes(args, ideal):
-        report = check_localization(ideal, at, max_facets=args.max_facets)
+    primes = _localization_primes(args, ideal)
+    for report in check_localization(ideal, primes, max_facets=args.max_facets):
         all_ok = all_ok and report.passed
         entries.append(
             {

@@ -8,9 +8,13 @@ construction on the facets of the polarization, read back through
 x[i,j] -> x_i^j, and it yields the unique irredundant irreducible
 decomposition.
 
-Associated primes come in two independent flavours: radicals of the
-irreducible components, and colon witnesses (primes of the form (I : u) for
-a monomial u).  Tests play the two against each other.
+Associated primes come in two flavours: radicals of the irreducible
+components, and colon witnesses (primes of the form (I : u) for a monomial
+u).  The witness search takes its candidate primes from the component
+supports and finds the lexicographically least u for each by
+branch-and-bound over generators of colon ideals, never sweeping the
+exponent box; every witness's colon is then recomputed from the generators,
+so the two flavours still check each other.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .monomials import (
     Prime,
     Ring,
     RingMismatchError,
+    _minimal_exps,
     sort_primes,
 )
 
@@ -160,16 +165,57 @@ def _prime_of_colon(
     return Prime(ring, tuple(ring.names[i] for i in sorted(singles)))
 
 
+def _least_witness(
+    levels: list[list[tuple[int, ...]]], saturation: list[list[tuple[int, int]]]
+) -> tuple[int, ...] | None:
+    """Lexicographically least lcm of one vector per level outside the saturation.
+
+    Each level lists the generators of one ideal, so an lcm of one vector
+    per level generates part of their intersection J; ``saturation`` lists
+    the generators of a second ideal as (variable, exponent) pairs.  The
+    answer is the least element of J outside that ideal in tuple order, or
+    None.  Depth-first branch-and-bound: a level whose ideal already holds
+    the partial lcm is passed over, and a partial lcm inside the saturation
+    or not below the best found so far is cut, since every completion lies
+    above it in both senses.
+    """
+    best = None
+
+    def search(k: int, u: tuple[int, ...]) -> None:
+        nonlocal best
+        while k < len(levels) and any(
+            all(a <= b for a, b in zip(q, u)) for q in levels[k]
+        ):
+            k += 1
+        if k == len(levels):
+            best = u
+            return
+        for v in sorted({tuple(map(max, u, q)) for q in levels[k]}):
+            if best is not None and v >= best:
+                break
+            if not any(all(v[i] >= e for i, e in s) for s in saturation):
+                search(k + 1, v)
+
+    search(0, (0,) * len(levels[0][0]))
+    return best
+
+
 def quotient_associated_prime_witnesses(
     ideal: MonomialIdeal, module: MonomialIdeal | None = None
 ) -> dict[Prime, Monomial]:
     """Associated primes of module/ideal with one colon witness per prime.
 
     ``module`` defaults to the whole ring, giving the associated primes of
-    the quotient by the ideal.  A prime p is associated exactly when
-    p = (ideal : u) for some monomial u in the module; it suffices to search
-    monomials dividing the lcm of all generators involved, because capping
-    exponents there changes neither membership in the module nor the colon.
+    the quotient by the ideal.  A prime P is associated exactly when
+    P = (ideal : u) for some monomial u in the module, and the witness is
+    the lexicographically least such u.  Only the supports of the irreducible
+    components can qualify, since Ass(module/ideal) lies in Ass(S/ideal).
+    For such a P, (ideal : u) = P holds exactly when u lies in
+    J = module ∩ (ideal : x_i) over i in P, and outside the saturation of
+    the ideal by the variables off P; the least such u is a minimal
+    generator of J, found by :func:`_least_witness`.  Each witness's colon
+    is then recomputed from the generators, and a candidate whose witness
+    does not give back its prime is left out.
     """
     ring_ = ideal.ring
     if module is not None:
@@ -177,28 +223,34 @@ def quotient_associated_prime_witnesses(
             raise RingMismatchError(f"{ideal} and {module} live in different rings")
         if not module.contains_ideal(ideal):
             raise ValueError("the ideal must sit inside the module")
-        bound_gens = ideal.gens + module.gens
+        module_exps = [g.exps for g in module.gens]
     else:
-        bound_gens = ideal.gens
-    bound = tuple(
-        max(g.exps[i] for g in bound_gens) for i in range(len(ring_))
-    )
+        module_exps = [(0,) * len(ring_)]
     gen_exps = [g.exps for g in ideal.gens]
-    module_exps = None if module is None else [g.exps for g in module.gens]
-    witnesses: dict[Prime, Monomial] = {}
-    for u in itertools.product(*(range(e + 1) for e in bound)):
-        if module_exps is not None and not any(
-            all(a <= b for a, b in zip(g, u)) for g in module_exps
-        ):
+    colons: dict[int, list[tuple[int, ...]]] = {}
+    found = []
+    supports = {
+        tuple(i for i, e in enumerate(c.exps) if e)
+        for c in irreducible_decomposition(ideal)
+    }
+    for support in supports:
+        for i in support:
+            if i not in colons:
+                colons[i] = _minimal_exps(
+                    g[:i] + (max(g[i] - 1, 0),) + g[i + 1 :] for g in gen_exps
+                )
+        saturation = [[(i, g[i]) for i in support if g[i]] for g in gen_exps]
+        u = _least_witness([module_exps] + [colons[i] for i in support], saturation)
+        if u is None:
             continue
         p = _prime_of_colon(gen_exps, u, ring_)
-        if p is not None and p not in witnesses:
-            witnesses[p] = Monomial(ring_, u)
-    return witnesses
+        if p is not None and p.indices() == support:
+            found.append((u, p))
+    return {p: Monomial(ring_, u) for u, p in sorted(found)}
 
 
 def quotient_associated_primes(
     ideal: MonomialIdeal, module: MonomialIdeal | None = None
 ) -> frozenset[Prime]:
-    """Associated primes of module/ideal via exhaustive colon witnesses."""
+    """Associated primes of module/ideal, read off the colon witnesses."""
     return frozenset(quotient_associated_prime_witnesses(ideal, module))

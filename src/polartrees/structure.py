@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .decomposition import (
     IrreducibleComponent,
@@ -155,6 +156,7 @@ class FiltrationReport:
 def check_filtration_strata(
     ideal: MonomialIdeal, max_facets: int = MAX_FOREST_FACETS
 ) -> FiltrationReport:
+    forest = bool(is_forest(facet_complex(polarize_ideal(ideal)), max_facets))
     filtration = scm_filtration(ideal)
     strata = filtration.strata
     chain = filtration.chain
@@ -188,10 +190,9 @@ def check_filtration_strata(
             )
         )
 
-    polar_complex = facet_complex(polarize_ideal(ideal))
     return FiltrationReport(
         ideal=ideal,
-        polarization_is_forest=bool(is_forest(polar_complex, max_facets)),
+        polarization_is_forest=forest,
         filtration=filtration,
         steps=tuple(steps),
     )
@@ -321,33 +322,45 @@ class LocalizationReport:
 
 
 def check_localization(
-    ideal: MonomialIdeal, at: Prime, max_facets: int = MAX_FOREST_FACETS
-) -> LocalizationReport:
-    if not at.contains_ideal(ideal):
-        raise ValueError(f"{at} does not contain {ideal}")
+    ideal: MonomialIdeal, primes: Iterable[Prime], max_facets: int = MAX_FOREST_FACETS
+) -> tuple[LocalizationReport, ...]:
+    """One report per prime, in the order given.
+
+    The ideal is polarized and its tree hypothesis checked once for all the
+    primes; every prime must contain the ideal.
+    """
+    primes = tuple(primes)
+    for at in primes:
+        if not at.contains_ideal(ideal):
+            raise ValueError(f"{at} does not contain {ideal}")
     polar = polarize_ideal(ideal)
     ring = polar.ring
     assert isinstance(ring, PolarRing)
     tree = is_tree(facet_complex(polar), max_facets)
 
-    localized = localize(ideal, at)
-    assert isinstance(localized, MonomialIdeal)
-    # Re-home into the full base ring so both polarizations below share one
-    # slot namespace and the generator lists are comparable verbatim.
-    localized_polar = polarize_ideal(change_ring_ideal(localized, ideal.ring))
-    forest = is_forest(facet_complex(localized_polar), max_facets)
+    reports = []
+    for at in primes:
+        localized = localize(ideal, at)
+        assert isinstance(localized, MonomialIdeal)
+        # Re-home into the full base ring so both polarizations below share
+        # one slot namespace and the generator lists are comparable verbatim.
+        localized_polar = polarize_ideal(change_ring_ideal(localized, ideal.ring))
+        forest = is_forest(facet_complex(localized_polar), max_facets)
 
-    polar_localized = localize(polar, polarize_prime(at, ring))
-    assert isinstance(polar_localized, MonomialIdeal)
-    return LocalizationReport(
-        ideal=ideal,
-        prime=at,
-        tree_hypothesis=tree,
-        localized=localized,
-        forest=forest,
-        polar_of_localization=tuple(str(g) for g in localized_polar.gens),
-        localization_of_polar=tuple(str(g) for g in polar_localized.gens),
-    )
+        polar_localized = localize(polar, polarize_prime(at, ring))
+        assert isinstance(polar_localized, MonomialIdeal)
+        reports.append(
+            LocalizationReport(
+                ideal=ideal,
+                prime=at,
+                tree_hypothesis=tree,
+                localized=localized,
+                forest=forest,
+                polar_of_localization=tuple(str(g) for g in localized_polar.gens),
+                localization_of_polar=tuple(str(g) for g in polar_localized.gens),
+            )
+        )
+    return tuple(reports)
 
 
 class CMVerdict(Enum):

@@ -291,3 +291,46 @@ def pairwise_polar_decomposition(ideal: MonomialIdeal) -> tuple[Prime, ...]:
         if not any(var_sets[q] < var_sets[p] for q in candidates)
     ]
     return sort_primes(kept)
+
+
+def box_witnesses(
+    ideal: MonomialIdeal, modules=(None,)
+) -> list[dict[Prime, Monomial]]:
+    """Colon witnesses by sweeping one exponent box, first point per prime.
+
+    The box tops out at the per-variable maximum over the generators of the
+    ideal and of every module (None stands for the whole ring), and its
+    points run in ``itertools.product`` order.  For each module, each prime
+    P gets the first point u in the module whose colon (ideal : u) is P.
+    That colon is generated by the quotients g / gcd(g, u), whose supports
+    are the variables where g exceeds u: it is P when no quotient is
+    constant and each one involves a variable of P, where P collects the
+    variables that are whole quotients.
+    """
+    ring = ideal.ring
+    n = len(ring)
+    gens = [g.exps for g in ideal.gens]
+    members = [None if m is None else [g.exps for g in m.gens] for m in modules]
+    bound_gens = gens + [g for m in members if m is not None for g in m]
+    bound = [max(g[i] for g in bound_gens) for i in range(n)]
+    found: list[dict[Prime, Monomial]] = [{} for _ in modules]
+    for u in itertools.product(*(range(b + 1) for b in bound)):
+        supports = []
+        linear = set()
+        for g in gens:
+            support = [i for i in range(n) if g[i] > u[i]]
+            if not support:
+                break  # u lies in the ideal, so the colon is the whole ring
+            if len(support) == 1 and g[support[0]] - u[support[0]] == 1:
+                linear.add(support[0])
+            supports.append(support)
+        else:
+            if not linear or not all(linear.intersection(s) for s in supports):
+                continue
+            p = Prime(ring, tuple(ring.names[i] for i in sorted(linear)))
+            for m, witnesses in zip(members, found):
+                if p not in witnesses and (
+                    m is None or any(all(a <= b for a, b in zip(g, u)) for g in m)
+                ):
+                    witnesses[p] = Monomial(ring, u)
+    return found

@@ -232,6 +232,19 @@ class TestStructureCommands:
         assert report["results"]["chain"] == ["x1^2, x1*x2", "x1"]
         assert all(step["passed"] for step in report["results"]["steps"])
 
+    def test_check_appendix_over_the_cap_exits_before_decomposing(self, capsys):
+        path_21 = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 22))
+        assert main(["check-appendix", path_21]) == 2
+        assert "21 facets exceed the cap of 20" in capsys.readouterr().err
+
+    def test_check_appendix_on_a_16_edge_path(self, capsys):
+        # a box sweep would visit 2^17 points for each colon-witness call
+        path_16 = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 17))
+        code, report = run_json(capsys, "check-appendix", path_16)
+        assert code == 0
+        assert report["verdict"] == "pass"
+        assert len(report["results"]["steps"]) == 4
+
 
 class TestInterface:
     def test_parse_error_exits_two(self, capsys):

@@ -14,11 +14,13 @@ from polartrees import (
     prime,
     quotient_associated_prime_witnesses,
     quotient_associated_primes,
+    scm_filtration,
     sort_primes,
 )
 from polartrees.sampling import random_ideal, random_ring
 
 from oracles import (
+    box_witnesses,
     equal_by_membership,
     exponent_ideal,
     seeded_ideal,
@@ -28,6 +30,10 @@ from oracles import (
 
 def strs(items):
     return [str(x) for x in items]
+
+
+def render(witnesses):
+    return {str(p): str(u) for p, u in witnesses.items()}
 
 
 class TestIrreducibleDecomposition:
@@ -179,10 +185,65 @@ class TestQuotientAss:
                 assert colon(ideal, u) == p.as_ideal()
 
     def test_two_algorithms_agree(self):
+        # exact witnesses, in order, against the box sweep, with the whole
+        # ring and every filtration chain term as module
         rng = random.Random(95)
-        for _ in range(25):
-            ideal = random_ideal(rng, random_ring(rng, 4), max_generators=4, max_degree=3)
+        ideals = [
+            random_ideal(rng, random_ring(rng, 4), max_generators=4, max_degree=3)
+            for _ in range(25)
+        ] + [seeded_ideal(rng, max_variables=5) for _ in range(620)]
+        pairs = 0
+        for ideal in ideals:
             assert quotient_associated_primes(ideal) == associated_primes(ideal)
+            modules = [None, *scm_filtration(ideal).chain]
+            for module, expected in zip(modules, box_witnesses(ideal, modules)):
+                found = quotient_associated_prime_witnesses(ideal, module)
+                assert list(found.items()) == list(expected.items()), (ideal, module)
+            pairs += len(modules)
+        assert pairs >= 1500
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any),
+                    min_size=1,
+                    max_size=6,
+                ),
+                st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n), max_size=3),
+            )
+        )
+    )
+    def test_property_matches_the_box_on_any_module(self, vectors):
+        gens, extra = vectors
+        ideal = exponent_ideal(gens)
+        module = exponent_ideal(gens + [v for v in extra if any(v)])
+        (expected,) = box_witnesses(ideal, [module])
+        found = quotient_associated_prime_witnesses(ideal, module)
+        assert list(found.items()) == list(expected.items())
+
+    def test_witnesses_of_long_chains(self):
+        # a box sweep visits 31^4 and 13^5 points here
+        ideal = parse_ideal("x1^30*x2, x2^30*x3, x3^30*x4, x4^30")
+        assert render(quotient_associated_prime_witnesses(ideal)) == {
+            "(x1, x2, x3, x4)": "x1^29*x2^29*x3^29*x4^29",
+            "(x1, x2, x4)": "x1^29*x2^29*x3^30",
+            "(x1, x3, x4)": "x1^29*x2^30*x4^29",
+            "(x2, x3, x4)": "x1^30*x3^29*x4^29",
+            "(x2, x4)": "x1^30*x3^30",
+        }
+        ideal = parse_ideal("x1^12*x2, x2^12*x3, x3^12*x4, x4^12*x5, x5^12")
+        assert render(quotient_associated_prime_witnesses(ideal)) == {
+            "(x1, x2, x3, x4, x5)": "x1^11*x2^11*x3^11*x4^11*x5^11",
+            "(x1, x2, x3, x5)": "x1^11*x2^11*x3^11*x4^12",
+            "(x1, x2, x4, x5)": "x1^11*x2^11*x3^12*x5^11",
+            "(x1, x3, x4, x5)": "x1^11*x2^12*x4^11*x5^11",
+            "(x1, x3, x5)": "x1^11*x2^12*x4^12",
+            "(x2, x3, x4, x5)": "x1^12*x3^11*x4^11*x5^11",
+            "(x2, x3, x5)": "x1^12*x3^11*x4^12",
+            "(x2, x4, x5)": "x1^12*x3^12*x5^11",
+        }
 
     def test_colon_witness_for_named_examples(self):
         ideal = parse_ideal("x1^2, x1*x2")

@@ -174,7 +174,7 @@ class TestJointRemoval:
 class TestLocalizationCheck:
     def test_non_commutation_example(self):
         ideal = parse_ideal("x1^3, x1^2*x2")
-        report = check_localization(ideal, prime(ideal.ring, ["x1"]))
+        (report,) = check_localization(ideal, [prime(ideal.ring, ["x1"])])
         assert report.passed
         assert str(report.localized) == "(x1^2)"
         assert report.polar_of_localization == ("x[1,1]*x[1,2]",)
@@ -183,20 +183,22 @@ class TestLocalizationCheck:
 
     def test_full_prime_keeps_the_ideal(self):
         ideal = WORKED_TREE
-        report = check_localization(ideal, prime(ideal.ring, ideal.ring.names))
+        (report,) = check_localization(ideal, [prime(ideal.ring, ideal.ring.names)])
         assert report.passed
         assert report.tree_hypothesis
         assert strs(report.localized.gens) == strs(ideal.gens)
 
     def test_worked_tree_at_its_minimal_prime(self):
-        report = check_localization(WORKED_TREE, prime(WORKED_TREE.ring, ["x1", "x3"]))
+        (report,) = check_localization(
+            WORKED_TREE, [prime(WORKED_TREE.ring, ["x1", "x3"])]
+        )
         assert report.passed
         assert str(report.localized) == "(x1^3, x3)"
 
     def test_rejects_primes_not_containing_the_ideal(self):
         ideal = WORKED_TREE
         with pytest.raises(ValueError):
-            check_localization(ideal, prime(ideal.ring, ["x2"]))
+            check_localization(ideal, [prime(ideal.ring, ["x2"])])
 
 
 class TestVerdicts:
@@ -260,7 +262,7 @@ class TestForestCap:
         lambda ideal, cap: check_filtration_strata(ideal, max_facets=cap),
         lambda ideal, cap: check_konig(ideal, max_facets=cap),
         lambda ideal, cap: check_localization(
-            ideal, prime(ideal.ring, ideal.ring.names), max_facets=cap
+            ideal, [prime(ideal.ring, ideal.ring.names)], max_facets=cap
         ),
         lambda ideal, cap: cm_verdict(ideal, max_facets=cap),
         lambda ideal, cap: scm_verdict(ideal, max_facets=cap),
