@@ -22,6 +22,7 @@ import time
 from .decomposition import (
     associated_primes,
     height,
+    inclusion_minimal,
     irreducible_decomposition,
     minimal_primes,
     quotient_associated_prime_witnesses,
@@ -161,7 +162,7 @@ def _cmd_ass(args):
         "witnesses": {str(p): str(u) for p, u in sorted(
             witnesses.items(), key=lambda kv: kv[0].indices())},
         "algorithms_agree": agree,
-        "minimal_primes": [str(p) for p in minimal_primes(ideal)],
+        "minimal_primes": [str(p) for p in inclusion_minimal(primes)],
     }
     return {"ideal": render_ideal(ideal)}, results, "pass" if agree else "fail", None
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .monomials import (
     Monomial,
@@ -28,6 +29,7 @@ from .monomials import (
     Prime,
     Ring,
     RingMismatchError,
+    _ideal_of,
     _minimal_exps,
     sort_primes,
 )
@@ -60,13 +62,12 @@ class IrreducibleComponent:
         return Prime(self.ring, self.support)
 
     def as_ideal(self) -> MonomialIdeal:
-        gens = []
-        for i, e in enumerate(self.exps):
-            if e:
-                exps = [0] * len(self.ring)
-                exps[i] = e
-                gens.append(Monomial(self.ring, tuple(exps)))
-        return MonomialIdeal(self.ring, tuple(gens))
+        n = len(self.exps)
+        # Pure powers of distinct variables are pairwise incomparable.
+        return _ideal_of(
+            self.ring,
+            [(0,) * i + (e,) + (0,) * (n - i - 1) for i, e in enumerate(self.exps) if e],
+        )
 
     def __str__(self) -> str:
         parts = []
@@ -116,15 +117,20 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
     return tuple(IrreducibleComponent(ideal.ring, c) for c in sorted(comps))
 
 
-def minimal_primes(ideal: MonomialIdeal) -> tuple[Prime, ...]:
-    """Radicals of the components, minimalized under inclusion, sorted."""
-    radicals = {c.radical() for c in irreducible_decomposition(ideal)}
+def inclusion_minimal(primes: Iterable[Prime]) -> tuple[Prime, ...]:
+    """The primes that contain no other one of them, sorted."""
+    pool = set(primes)
     kept = [
         p
-        for p in radicals
-        if not any(q is not p and set(q.variables) < set(p.variables) for q in radicals)
+        for p in pool
+        if not any(q is not p and set(q.variables) < set(p.variables) for q in pool)
     ]
     return sort_primes(kept)
+
+
+def minimal_primes(ideal: MonomialIdeal) -> tuple[Prime, ...]:
+    """Radicals of the components, minimalized under inclusion, sorted."""
+    return inclusion_minimal(c.radical() for c in irreducible_decomposition(ideal))
 
 
 def associated_primes(ideal: MonomialIdeal) -> frozenset[Prime]:

@@ -13,6 +13,13 @@ must handle the degenerate cases explicitly.
 
 Ideal equality is structural: two ideals are ``==`` exactly when they live in
 the same ring and have the same minimal generating set.
+
+Input is validated once, at the boundary: the public :class:`Monomial` and
+:class:`MonomialIdeal` constructors and :func:`minimalize` check everything
+(exponents, ring, constants, minimality).  Results the library derives from
+already-valid ideals, which are minimal by construction, are built from
+their exponent tuples by the private :func:`_ideal_of` without checking
+them again.
 """
 
 from __future__ import annotations
@@ -222,7 +229,9 @@ class MonomialIdeal:
     The constructor insists on a minimal set (no generator divides another,
     none is constant); use :func:`minimalize` to build from arbitrary
     monomials.  Generators are kept in a canonical order, descending
-    lexicographic on exponent vectors, so equal ideals compare equal.
+    lexicographic on exponent vectors, so equal ideals compare equal.  The
+    library's own results skip this O(n^2) check: they come from
+    :func:`_ideal_of`, whose callers hold minimal generators by construction.
     """
 
     ring: Ring
@@ -246,7 +255,8 @@ class MonomialIdeal:
 
     def __contains__(self, m: Monomial) -> bool:
         _check_same_ring(m, self)
-        return any(divides(g, m) for g in self.gens)
+        exps = m.exps
+        return any(all(a <= b for a, b in zip(g.exps, exps)) for g in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(g in self for g in other.gens)
@@ -295,7 +305,30 @@ def minimalize(
     kept = _minimal_exps(g.exps for g in pool)
     if not kept:
         return ZERO_IDEAL
-    return MonomialIdeal(ambient, tuple(Monomial(ambient, e) for e in kept))
+    # An antichain of distinct vectors, nonzero as constants were rejected.
+    return _ideal_of(ambient, kept)
+
+
+def _ideal_of(ambient: Ring, vectors: Iterable[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal on exponent vectors that are already a minimal generating set.
+
+    Trusted internal constructor: the vectors must be distinct, nonzero,
+    pairwise incomparable tuples of nonnegative ints, one entry per variable
+    of ``ambient``, and at least one.  None of that is checked.  They are
+    sorted into the canonical order, so the result equals the public
+    constructor's on the same generators.
+    """
+    gens = []
+    for v in sorted(vectors, reverse=True):
+        # Fill the frozen dataclasses' fields directly, skipping validation.
+        m = object.__new__(Monomial)
+        fields = m.__dict__
+        fields["ring"] = ambient
+        fields["exps"] = v
+        gens.append(m)
+    ideal = object.__new__(MonomialIdeal)
+    ideal.__dict__.update(ring=ambient, gens=tuple(gens))
+    return ideal
 
 
 def _minimal_exps(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -321,7 +354,15 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def intersect_all(ideals: Iterable[MonomialIdeal]) -> MonomialIdeal:
-    """Intersection of the ideals, folded on exponent vectors."""
+    """Intersection of the ideals, folded on exponent vectors.
+
+    Each step intersects the running generators with the next ideal J, whose
+    generators are the lcms lcm(g, h).  A running generator g that J already
+    contains is itself such an lcm, and every other lcm(g, h) is its
+    multiple, so g is kept as it is.  No lcm(g', h) of another generator g'
+    divides a kept g, since g' would divide g, so only the lcms of the
+    other generators are minimalized and then filtered against the kept ones.
+    """
     it = iter(ideals)
     try:
         first = next(it)
@@ -330,10 +371,21 @@ def intersect_all(ideals: Iterable[MonomialIdeal]) -> MonomialIdeal:
     acc = [g.exps for g in first.gens]
     for j in it:
         _check_same_ring(first, j)
-        acc = _minimal_exps(
-            tuple(map(max, g, h.exps)) for g in acc for h in j.gens
-        )
-    return MonomialIdeal(first.ring, tuple(Monomial(first.ring, e) for e in acc))
+        others = [h.exps for h in j.gens]
+        kept: list[tuple[int, ...]] = []
+        lcms = []
+        for g in acc:
+            if any(all(a <= b for a, b in zip(h, g)) for h in others):
+                kept.append(g)
+            else:
+                lcms.extend(tuple(map(max, g, h)) for h in others)
+        acc = kept + [
+            v
+            for v in _minimal_exps(lcms)
+            if not any(all(a <= b for a, b in zip(k, v)) for k in kept)
+        ]
+    # Minimal at every step; lcms of nonconstant generators are nonconstant.
+    return _ideal_of(first.ring, acc)
 
 
 @dataclass(frozen=True)
@@ -361,7 +413,11 @@ class Prime:
         return tuple(self.ring.index(n) for n in self.variables)
 
     def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(self.ring, tuple(self.ring.var(n) for n in self.variables))
+        n = len(self.ring)
+        # Distinct variables: pairwise coprime unit vectors.
+        return _ideal_of(
+            self.ring, [(0,) * i + (1,) + (0,) * (n - i - 1) for i in self.indices()]
+        )
 
     def contains_monomial(self, m: Monomial) -> bool:
         _check_same_ring(m, self)
@@ -429,9 +485,12 @@ def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal | UnitIdeal:
 
 def coprime_independence_number(ideal: MonomialIdeal) -> int:
     """Largest number of pairwise coprime minimal generators."""
-    return _max_disjoint(
-        [sum(1 << i for i, e in enumerate(g.exps) if e) for g in ideal.gens]
-    )
+    return _max_disjoint(_support_masks(ideal))
+
+
+def _support_masks(ideal: MonomialIdeal) -> list[int]:
+    """One bitmask of variable positions per generator, in generator order."""
+    return [sum(1 << i for i, e in enumerate(g.exps) if e) for g in ideal.gens]
 
 
 def _max_disjoint(masks: list[int]) -> int:
@@ -463,4 +522,6 @@ def change_ring(m: Monomial, new_ring: Ring) -> Monomial:
 
 
 def change_ring_ideal(ideal: MonomialIdeal, new_ring: Ring) -> MonomialIdeal:
-    return MonomialIdeal(new_ring, tuple(change_ring(g, new_ring) for g in ideal.gens))
+    # Moving exponents to other positions keeps divisibility both ways, so
+    # the minimal generators stay minimal.
+    return _ideal_of(new_ring, [change_ring(g, new_ring).exps for g in ideal.gens])

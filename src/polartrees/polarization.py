@@ -29,6 +29,7 @@ from .monomials import (
     Prime,
     Ring,
     RingMismatchError,
+    _ideal_of,
     minimalize,
     sort_primes,
 )
@@ -130,23 +131,30 @@ def _polar_names(slots: tuple[int, ...]) -> tuple[str, ...]:
 
 def polarize_monomial(m: Monomial, ring: PolarRing) -> Monomial:
     """Spread each power x^e over the slot variables x[i,1]...x[i,e]."""
+    return Monomial(ring, _polar_exps(m, ring))
+
+
+def _polar_exps(m: Monomial, ring: PolarRing) -> tuple[int, ...]:
+    # The polar ring lists the slots of each base variable in order, so x^e
+    # becomes e ones followed by a zero for every unused slot.
     if m.ring != ring.base:
         raise RingMismatchError(f"{m} is not a monomial over {ring.base}")
-    exps = [0] * len(ring)
-    for i, e in enumerate(m.exps):
-        if e > ring.slots[i]:
+    exps: list[int] = []
+    for i, (e, count) in enumerate(zip(m.exps, ring.slots)):
+        if e > count:
             raise ValueError(
-                f"exponent {e} of {m.ring.names[i]} exceeds the {ring.slots[i]} "
+                f"exponent {e} of {m.ring.names[i]} exceeds the {count} "
                 "available slots"
             )
-        for j in range(1, e + 1):
-            exps[ring.index(polar_variable_name(i + 1, j))] = 1
-    return Monomial(ring, tuple(exps))
+        exps += [1] * e + [0] * (count - e)
+    return tuple(exps)
 
 
 def polarize_ideal_in(ideal: MonomialIdeal, ring: PolarRing) -> MonomialIdeal:
     """Polarize inside a given (possibly larger) polar ring."""
-    return MonomialIdeal(ring, tuple(polarize_monomial(g, ring) for g in ideal.gens))
+    # Polarization preserves and reflects divisibility (Fröberg), so the
+    # images of minimal generators are minimal and nonconstant again.
+    return _ideal_of(ring, [_polar_exps(g, ring) for g in ideal.gens])
 
 
 def polarize_ideal(ideal: MonomialIdeal) -> MonomialIdeal:

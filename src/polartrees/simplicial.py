@@ -25,12 +25,13 @@ from typing import Iterable
 from .monomials import (
     UNIT_IDEAL,
     ZERO_IDEAL,
-    Monomial,
     MonomialIdeal,
     Ring,
     UnitIdeal,
     ZeroIdeal,
+    _ideal_of,
     _max_disjoint,
+    _support_masks,
 )
 
 MAX_FOREST_FACETS = 20
@@ -127,12 +128,14 @@ def facet_ideal(complex_: SimplicialComplex) -> MonomialIdeal | UnitIdeal | Zero
         return ZERO_IDEAL
     if complex_.facets == (frozenset(),):
         return UNIT_IDEAL
-    ring = Ring(complex_.vertices)
-    gens = tuple(
-        Monomial(ring, tuple(1 if v in facet else 0 for v in ring.names))
-        for facet in complex_.facets
-    )
-    return MonomialIdeal(ring, gens)
+    # The facets are distinct, nonempty and pairwise incomparable.
+    return _ideal_of_masks(Ring(complex_.vertices), complex_._masks())
+
+
+def _ideal_of_masks(ring: Ring, masks: Iterable[int]) -> MonomialIdeal:
+    """The square-free ideal on an antichain of nonempty vertex bitmasks."""
+    n = len(ring)
+    return _ideal_of(ring, [tuple(m >> i & 1 for i in range(n)) for m in masks])
 
 
 def _minimal_transversals(masks: Iterable[int]) -> list[int]:
@@ -184,15 +187,11 @@ def nonface_ideal(complex_: SimplicialComplex) -> MonomialIdeal | ZeroIdeal | Un
     """
     if complex_.is_void:
         return UNIT_IDEAL
-    ring = Ring(complex_.vertices)
-    gens = []
-    for mask in _minimal_nonface_masks(complex_):
-        gens.append(
-            Monomial(ring, tuple(1 if mask >> i & 1 else 0 for i in range(len(ring))))
-        )
-    if not gens:
+    nonfaces = _minimal_nonface_masks(complex_)
+    if not nonfaces:
         return ZERO_IDEAL
-    return MonomialIdeal(ring, tuple(gens))
+    # Minimal transversals; the empty set is a face, so none is empty.
+    return _ideal_of_masks(Ring(complex_.vertices), nonfaces)
 
 
 def nonface_complex(ideal: MonomialIdeal) -> SimplicialComplex:
@@ -237,12 +236,9 @@ def alexander_dual_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
     """
     if not ideal.is_squarefree:
         raise ValueError("Alexander duality needs a square-free ideal")
-    ring = Ring(ideal.ring.names)
-    gens = tuple(
-        Monomial(ring, tuple(1 if v in cover else 0 for v in ring.names))
-        for cover in minimal_vertex_covers(facet_complex(ideal))
-    )
-    return MonomialIdeal(ring, gens)
+    # Minimal transversals of nonempty supports: an antichain of nonempty sets.
+    covers = _minimal_transversals(_support_masks(ideal))
+    return _ideal_of_masks(Ring(ideal.ring.names), covers)
 
 
 def minimal_vertex_covers(complex_: SimplicialComplex) -> tuple[frozenset[str], ...]:

@@ -28,6 +28,8 @@ from .monomials import (
     MonomialIdeal,
     Prime,
     ZeroIdeal,
+    _ideal_of,
+    _support_masks,
     change_ring_ideal,
     coprime_independence_number,
     intersect_all,
@@ -38,6 +40,7 @@ from .polarization import PolarRing, polarize_ideal, polarize_prime
 from .simplicial import (
     MAX_FOREST_FACETS,
     ForestCheck,
+    _ideal_of_masks,
     facet_complex,
     is_connected,
     is_forest,
@@ -287,8 +290,9 @@ def check_joint_removal(ideal: MonomialIdeal) -> JointRemovalReport:
     h = height(ideal)
     drops = []
     for g in culprits:
-        rest = tuple(m for m in ideal.gens if m != g)
-        smaller = MonomialIdeal(ideal.ring, rest)
+        # A subset of a minimal generating set; a joint is one facet of at
+        # least two, so some generator is left.
+        smaller = _ideal_of(ideal.ring, [m.exps for m in ideal.gens if m != g])
         drops.append(
             JointDrop(generator=g, height_before=h, height_after=height(smaller))
         )
@@ -427,15 +431,13 @@ def squarefree_component(
         raise ValueError("square-free components need a square-free ideal")
     if degree < 1:
         raise ValueError("the degree must be positive")
-    ring = ideal.ring
-    gens = []
-    for combo in itertools.combinations(range(len(ring)), degree):
-        exps = [0] * len(ring)
-        for i in combo:
-            exps[i] = 1
-        m = Monomial(ring, tuple(exps))
-        if m in ideal:
-            gens.append(m)
-    if not gens:
+    supports = _support_masks(ideal)
+    masks = []
+    for combo in itertools.combinations(range(len(ideal.ring)), degree):
+        mask = sum(1 << i for i in combo)
+        if any(s & mask == s for s in supports):
+            masks.append(mask)
+    if not masks:
         return ZERO_IDEAL
-    return MonomialIdeal(ring, tuple(gens))
+    # Distinct square-free monomials of one degree are pairwise incomparable.
+    return _ideal_of_masks(ideal.ring, masks)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: membership sweeps
 over bounded exponent boxes, itertools subset scans for covers and
-non-faces, generator splitting for irreducible decompositions, a pairwise
+non-faces, generator splitting for irreducible decompositions and all
+lcms for intersections (both on exponent tuples), a pairwise
 inclusion prune for polar primes, and a pair-by-pair substitution that
 undoes a polarization without counting slots.
 """
@@ -231,44 +232,79 @@ def brute_forest_witness(complex_: SimplicialComplex) -> tuple[frozenset, ...] |
     return None
 
 
+def _minimal_vectors(vectors) -> list[tuple[int, ...]]:
+    """The distinct vectors that no other one divides, by a pairwise scan."""
+    pool = set(vectors)
+    return [
+        v
+        for v in pool
+        if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in pool)
+    ]
+
+
+def lcm_intersection(ideals) -> MonomialIdeal:
+    """Intersection of the ideals from the lcm of every choice of one
+    generator per ideal, minimalized pairwise and checked by the public
+    constructor."""
+    ring = ideals[0].ring
+    lcms = (
+        tuple(map(max, zip(*choice)))
+        for choice in itertools.product(*([g.exps for g in j.gens] for j in ideals))
+    )
+    vectors = _minimal_vectors(lcms)
+    return MonomialIdeal(ring, tuple(Monomial(ring, v) for v in vectors))
+
+
 def splitting_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """Irredundant irreducible decomposition by generator splitting.
 
     A generator that factors into coprime nonconstant parts u, v splits the
     ideal into I+(u) and I+(v); an ideal of pure powers is irreducible.
     Components containing another are dropped, which leaves the irredundant
-    decomposition because irreducible monomial ideals are meet-prime.
+    decomposition because irreducible monomial ideals are meet-prime.  The
+    ideals are frozensets of minimal exponent vectors: adding u to one
+    drops the generators u divides, or changes nothing when a generator
+    already divides u.
     """
-    seen: set[MonomialIdeal] = set()
+    seen: set[frozenset[tuple[int, ...]]] = set()
     found: set[tuple[int, ...]] = set()
-    stack = [ideal]
+    stack = [frozenset(g.exps for g in ideal.gens)]
     while stack:
-        j = stack.pop()
-        if j in seen:
+        gens = stack.pop()
+        if gens in seen:
             continue
-        seen.add(j)
-        mixed = next((g for g in j.gens if len(g.support) >= 2), None)
+        seen.add(gens)
+        mixed = next((g for g in gens if sum(1 for e in g if e) >= 2), None)
         if mixed is None:
-            exps = [0] * len(j.ring)
-            for g in j.gens:
-                (i,) = (k for k, e in enumerate(g.exps) if e)
-                exps[i] = g.exps[i]
-            found.add(tuple(exps))
+            found.add(tuple(map(sum, zip(*gens))))
             continue
-        first = j.ring.index(mixed.support[0])
-        u = [0] * len(j.ring)
-        u[first] = mixed.exps[first]
-        v = [e - a for e, a in zip(mixed.exps, u)]
+        first = next(i for i, e in enumerate(mixed) if e)
+        u = tuple(e if i == first else 0 for i, e in enumerate(mixed))
+        v = tuple(0 if i == first else e for i, e in enumerate(mixed))
         for extra in (u, v):
-            bigger = minimalize(j.gens + (Monomial(j.ring, tuple(extra)),), j.ring)
-            assert isinstance(bigger, MonomialIdeal)
-            stack.append(bigger)
+            if not any(all(a <= b for a, b in zip(g, extra)) for g in gens):
+                stack.append(
+                    frozenset(
+                        g for g in gens if not all(a <= b for a, b in zip(extra, g))
+                    )
+                    | {extra}
+                )
 
-    def inside(outer, inner):
-        return all(o and o <= e for o, e in zip(outer, inner) if e)
-
+    # d lies inside c when c has every variable of d, at an exponent no
+    # larger; grouping by support mask rules out most pairs at once.
+    by_support: dict[int, list[tuple[int, ...]]] = {}
+    for c in found:
+        by_support.setdefault(sum(1 << i for i, e in enumerate(c) if e), []).append(c)
     kept = [
-        c for c in found if not any(d != c and inside(c, d) for d in found)
+        c
+        for mask, group in by_support.items()
+        for c in group
+        if not any(
+            d != c and all(o <= e for o, e in zip(c, d) if e)
+            for inner, ds in by_support.items()
+            if not inner & ~mask
+            for d in ds
+        )
     ]
     return tuple(IrreducibleComponent(ideal.ring, c) for c in sorted(kept))
 

@@ -1,29 +1,53 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polartrees.structure
 from polartrees import (
     UNIT_IDEAL,
     ZERO_IDEAL,
+    Monomial,
     MonomialIdeal,
+    PolarRing,
+    Ring,
     RingMismatchError,
+    alexander_dual_ideal,
+    associated_primes,
+    change_ring_ideal,
+    check_joint_removal,
     colon,
     coprime_independence_number,
     divides,
+    facet_complex,
+    facet_ideal,
     gcd,
     height,
     ideal_sum,
     intersect,
+    intersect_all,
+    irreducible_decomposition,
     lcm,
     localize,
     minimalize,
+    nonface_ideal,
     parse_ideal,
+    polarize_ideal,
+    polarize_ideal_in,
     prime,
     ring,
+    squarefree_component,
 )
 from polartrees.sampling import random_ideal, random_ring
 
-from oracles import contained_by_membership, equal_by_membership
+from oracles import (
+    contained_by_membership,
+    equal_by_membership,
+    exponent_ideal,
+    lcm_intersection,
+)
 
 R2 = ring("x1 x2")
 R3 = ring("x1 x2 x3")
@@ -126,6 +150,7 @@ class TestSumIntersect:
 
     def test_containment_properties_random(self):
         rng = random.Random(1301)
+        extra = random.Random(1302)
         for _ in range(60):
             ambient = random_ring(rng)
             a = random_ideal(rng, ambient, max_generators=4)
@@ -137,6 +162,10 @@ class TestSumIntersect:
             assert contained_by_membership(a, join)
             assert contained_by_membership(b, join)
             assert equal_by_membership(meet, meet)
+            more = [random_ideal(extra, ambient, max_generators=4)
+                    for _ in range(extra.randint(0, 2))]
+            ideals = [a, b] + more
+            assert intersect_all(ideals).gens == lcm_intersection(ideals).gens
 
 
 class TestLocalize:
@@ -227,3 +256,71 @@ class TestConstruction:
         ideal = parse_ideal("x1^2, x1*x2")
         assert m("x1^2*x2^2") in ideal
         assert m("x2^4") not in ideal
+
+    def test_membership_checks_the_ring(self):
+        with pytest.raises(RingMismatchError):
+            m("x1", R3) in parse_ideal("x1^2, x1*x2")
+
+
+def trusted_results(ideal: MonomialIdeal, other: MonomialIdeal) -> list:
+    """One result of every library path that builds an ideal from exponent
+    tuples without the public constructor's checks."""
+    polar = polarize_ideal(ideal)
+    complex_ = facet_complex(polar)
+    out = [
+        minimalize(ideal.gens + tuple(g * g for g in ideal.gens)),
+        intersect_all([ideal, other, ideal]),
+        polar,
+        polarize_ideal_in(ideal, PolarRing.spanning(ideal, other)),
+        facet_ideal(complex_),
+        nonface_ideal(complex_),
+        alexander_dual_ideal(polar),
+        change_ring_ideal(ideal, Ring(ideal.ring.names[::-1] + ("y",))),
+    ]
+    out += [p.as_ideal() for p in associated_primes(ideal)]
+    out += [c.as_ideal() for c in irreducible_decomposition(ideal)]
+    out += [squarefree_component(polar, d) for d in range(1, min(len(polar.ring), 3) + 1)]
+    # The ideals without one joint generator reach only ``height``.
+    with mock.patch.object(
+        polartrees.structure, "height", wraps=polartrees.structure.height
+    ) as spy:
+        check_joint_removal(ideal)
+    out += [call.args[0] for call in spy.call_args_list]
+    return [r for r in out if isinstance(r, MonomialIdeal)]
+
+
+def assert_as_if_checked(r: MonomialIdeal) -> None:
+    """The public constructors accept the result and keep its generators."""
+    rebuilt = MonomialIdeal(r.ring, tuple(Monomial(r.ring, g.exps) for g in r.gens))
+    assert rebuilt == r and rebuilt.gens == r.gens, r
+
+
+class TestTrustedConstruction:
+    def test_seeded_results_pass_the_public_checks(self):
+        rng = random.Random(2909)
+        for _ in range(150):
+            ambient = random_ring(rng)
+            ideal = random_ideal(rng, ambient, max_generators=5)
+            other = random_ideal(rng, ambient, max_generators=5)
+            for r in trusted_results(ideal, other):
+                assert_as_if_checked(r)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+                    min_size=1,
+                    max_size=4,
+                ),
+                min_size=2,
+                max_size=4,
+            )
+        )
+    )
+    def test_property_intersections_and_results(self, families):
+        ideals = [exponent_ideal(vectors) for vectors in families]
+        assert intersect_all(ideals).gens == lcm_intersection(ideals).gens
+        for r in trusted_results(ideals[0], ideals[1]):
+            assert_as_if_checked(r)
